@@ -2,7 +2,8 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-fast bench sweep campaign faults profile trace fidelity \
-	golden golden-refresh reliability reliability-bench ftl tenants
+	golden golden-refresh reliability reliability-bench ftl tenants \
+	determinism
 
 # Tier-1 verification: the full unit/integration suite.
 test:
@@ -91,6 +92,16 @@ tenants:
 		> /tmp/repro-tenants-b.json
 	cmp /tmp/repro-tenants-a.json /tmp/repro-tenants-b.json
 	@echo "tenant sweep deterministic across worker counts"
+
+# Runner determinism, the CI job of that name: every family's
+# workers-1-vs-4 byte identity (faults, ftl, tenants, reliability), the
+# replica benchmark, the campaign crash/resume-vs-golden benchmark and
+# the serial/parallel/warm-cache sweep benchmark, at the sizes CI uses.
+determinism:
+	$(MAKE) faults ftl tenants reliability
+	REPRO_BENCH_COMMANDS=48 REPRO_BENCH_REPLICAS=8 $(MAKE) reliability-bench
+	REPRO_BENCH_COMMANDS=200 $(MAKE) campaign
+	REPRO_BENCH_COMMANDS=200 $(MAKE) sweep
 
 # Trace-ingestion smoke: characterize, replay and format-convert the
 # bundled sample trace end to end through the CLI.

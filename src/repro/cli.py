@@ -63,14 +63,12 @@ def add_sweep_options(parser: argparse.ArgumentParser) -> None:
                         help="worker processes (0 = all cores, 1 = serial)")
     parser.add_argument("--cache-dir", type=str, default="",
                         help="result cache directory (also honors "
-                             "REPRO_SWEEP_CACHE_DIR)")
+                             "REPRO_SWEEP_CACHE_DIR); a re-run serves "
+                             "cached points, so a killed sweep resumes")
     parser.add_argument("--no-cache", action="store_true",
-                        help="ignore cached results, re-simulate every "
+                        help="use no cache, even one named by "
+                             "REPRO_SWEEP_CACHE_DIR: re-simulate every "
                              "point")
-    parser.add_argument("--resume", action="store_true",
-                        help="continue a killed sweep from its cached "
-                             "partial results (requires a cache dir); "
-                             "previously failed points are re-run")
     parser.add_argument("--timeout", type=float, default=0.0,
                         help="per-point time budget in seconds "
                              "(0 = unlimited); a point over budget is "
@@ -113,13 +111,13 @@ def runner_from_args(args: argparse.Namespace, quiet: bool = False):
     """Build the sweep/campaign runner an argparse namespace describes.
 
     With ``--campaign DIR`` the points run through a durable
-    :class:`~repro.core.campaign.CampaignRunner` (always resumable, so
-    ``--resume`` is implied); otherwise a plain :class:`SweepRunner`.
+    :class:`~repro.core.campaign.CampaignRunner`; otherwise a plain
+    :class:`SweepRunner`.  Either one resumes a killed sweep: points
+    already in its cache or campaign are served, not re-simulated.
     """
     cache_dir = (getattr(args, "cache_dir", "")
                  or os.environ.get("REPRO_SWEEP_CACHE_DIR", "")) or None
     no_cache = getattr(args, "no_cache", False)
-    resume = getattr(args, "resume", False)
     workers = getattr(args, "workers", 1) or None   # 0 -> all cores
     timeout = getattr(args, "timeout", 0.0) or None  # 0 -> unlimited
     campaign_dir = getattr(args, "campaign", "")
@@ -134,16 +132,8 @@ def runner_from_args(args: argparse.Namespace, quiet: bool = False):
         return CampaignRunner(campaign_dir, workers=workers,
                               progress=None if quiet else print_progress,
                               timeout_s=timeout)
-    if resume and no_cache:
-        raise SystemExit("--resume and --no-cache are contradictory: "
-                         "resuming replays cached partial results")
-    if resume and cache_dir is None:
-        raise SystemExit("--resume needs --cache-dir (or "
-                         "REPRO_SWEEP_CACHE_DIR) pointing at the "
-                         "interrupted sweep's cache")
     return SweepRunner(workers=workers,
                        cache_dir=None if no_cache else cache_dir,
-                       use_cache=not no_cache,
                        progress=None if quiet else print_progress,
                        timeout_s=timeout)
 

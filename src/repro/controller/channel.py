@@ -26,7 +26,6 @@ from ..cpu.dma import DmaEngine
 from ..ecc.adaptive import EccScheme
 from ..faults import ProgramFailError, UncorrectableReadError
 from ..kernel import Component, Resource, Simulator
-from ..kernel.tracing import trace, trace_enabled
 from ..kernel.simtime import Clock, ns
 from ..obs import spans as _obs
 from ..nand.die import NandDie
@@ -160,9 +159,6 @@ class ChannelWayController(Component):
                 f"die{die_index} {address}", address=address)
         self.stats.counter("programs").increment()
         self.stats.meter("write_data").record(self.geometry.page_bytes)
-        if trace_enabled():
-            trace(self.sim.now, self.path(), "program",
-                  f"way{way} die{die_index} {address}")
         return self.sim.now - start
 
     def read_page(self, way: int, die_index: int, address: PageAddress,
@@ -269,9 +265,6 @@ class ChannelWayController(Component):
                 command.read_retries += 1
         self.stats.counter("reads").increment()
         self.stats.meter("read_data").record(self.geometry.page_bytes)
-        if trace_enabled():
-            trace(self.sim.now, self.path(), "read",
-                  f"way{way} die{die_index} {address}")
         return self.sim.now - start
 
     def program_page_cached(self, way: int, die_index: int,
@@ -408,9 +401,6 @@ class ChannelWayController(Component):
             # spare pool (see SsdDevice._note_grown_bad).
             self.stats.counter("erase_fail_reports").increment()
         self.stats.counter("erases").increment()
-        if trace_enabled():
-            trace(self.sim.now, self.path(), "erase",
-                  f"way{way} die{die_index} plane{plane} block{block}")
         return self.sim.now - start
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from .calibrate import (DEFAULT_ERROR_BOUND, CalibrationResult, calibrate,
                         calibration_key, fast_architecture,
                         fidelity_error_report)
 from .campaign import (Campaign, CampaignError, CampaignRunner,
-                       CampaignStatus, Lease, LeaseQueue, run_worker)
+                       CampaignStatus, run_worker)
 from .experiments import (FAULT_CAMPAIGN_FRACTIONS, TABLE2_LABELS,
                           TABLE3_LABELS, breakdown_points,
                           faults_architecture,
@@ -54,6 +54,7 @@ from .report import (render_breakdown_table, render_json,
 from .sensitivity import (SensitivityCurve, SensitivityPoint,
                           bottleneck_report, render_sensitivity_table,
                           sweep_parameter)
+from .leases import Lease, LeaseQueue
 from .store import (ResultStore, flatten_metrics, parse_constraint)
 from .sweep import (CODE_VERSION, PointFailure, PointOutcome, PointTimeout,
                     SweepCache, SweepPoint, SweepResult, SweepRunner,

@@ -13,17 +13,9 @@ cooperatively.  Layout::
         results/           content-addressed envelopes (SweepCache format)
         campaign.sqlite    the queryable result store (repro.core.store)
 
-Correctness model (locked by the crash/resume test tier):
+Claiming, reaping and heartbeating are the lease protocol of
+:mod:`repro.core.leases`.  On top of it:
 
-* **Claiming** a point creates ``queue/<key>.lease`` with
-  ``O_CREAT | O_EXCL`` — exactly one worker wins.  Leases carry owner,
-  pid, host and an expiry; a heartbeat thread extends the expiry while
-  the point simulates.
-* **Reaping** an orphaned lease (worker killed mid-point) renames the
-  lease file to a tombstone — ``rename`` succeeds for exactly one
-  reaper, so an expired point re-enters the queue exactly once per
-  expiry.  Leases whose owner pid is dead on *this* host are reaped
-  immediately; cross-host orphans wait out the TTL.
 * **Publishing** writes the envelope with an atomic replace and records
   it in SQLite with ``INSERT OR REPLACE``.  Payloads are deterministic
   functions of the fingerprint (the sweep determinism contract), so
@@ -33,8 +25,8 @@ Correctness model (locked by the crash/resume test tier):
 * **Resuming** never recomputes a published point: a new run (or a new
   worker) skips every key that already has a successful envelope.
   Recorded *failures* are post-mortem data, not results — a resumed
-  :class:`CampaignRunner` clears and re-runs them, exactly like
-  ``SweepRunner --resume``.
+  :class:`CampaignRunner` clears and re-runs them, as a re-run
+  ``SweepRunner`` does with its cache.
 """
 
 from __future__ import annotations
@@ -42,254 +34,22 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import socket
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .explorer import ResourceCostModel
+from .leases import DEFAULT_LEASE_TTL_S, Lease, LeaseQueue, atomic_write
 from .store import ResultStore
-from .sweep import (CODE_VERSION, PointFailure, PointOutcome, SweepCache,
-                    SweepPoint, SweepResult, SweepSummary, _evaluate_guarded,
-                    fingerprint)
+from .sweep import (CODE_VERSION, PointOutcome, SweepCache, SweepPoint,
+                    SweepRunner, drain, fingerprint)
 
 #: Manifest schema version (bump on incompatible layout changes).
 CAMPAIGN_FORMAT = 1
 
-#: Default lease time-to-live.  Workers heartbeat at TTL/4, so a live
-#: worker never expires; a killed one is reaped within one TTL (or
-#: immediately by a same-host reaper that sees its pid is gone).
-DEFAULT_LEASE_TTL_S = 60.0
-
 
 class CampaignError(RuntimeError):
     """A campaign directory is inconsistent with what the caller wants."""
-
-
-def _atomic_write(path: str, data: bytes) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-    os.replace(tmp, path)
-
-
-def _worker_name() -> str:
-    return f"{socket.gethostname()}:{os.getpid()}"
-
-
-# ----------------------------------------------------------------------
-# Leases
-
-
-@dataclass(frozen=True)
-class Lease:
-    """One worker's claim on one point."""
-
-    key: str
-    owner: str
-    pid: int
-    host: str
-    expires_unix: float
-    generation: int = 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"key": self.key, "owner": self.owner, "pid": self.pid,
-                "host": self.host, "expires_unix": self.expires_unix,
-                "generation": self.generation}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Lease":
-        return cls(key=str(data["key"]), owner=str(data.get("owner", "")),
-                   pid=int(data.get("pid", 0)),
-                   host=str(data.get("host", "")),
-                   expires_unix=float(data.get("expires_unix", 0.0)),
-                   generation=int(data.get("generation", 0)))
-
-    def expired(self, now: Optional[float] = None) -> bool:
-        return (now if now is not None else time.time()) \
-            >= self.expires_unix
-
-
-class LeaseQueue:
-    """Filesystem lease table: one ``<key>.lease`` file per claim.
-
-    All mutations are single-syscall atomic (exclusive create, rename),
-    so the queue needs no locks and works across processes and across
-    hosts sharing the directory.
-    """
-
-    def __init__(self, directory: str, ttl_s: float = DEFAULT_LEASE_TTL_S):
-        if ttl_s <= 0:
-            raise ValueError("ttl_s must be positive")
-        self.directory = str(directory)
-        self.ttl_s = ttl_s
-        self._reap_counter = 0
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.lease")
-
-    def claim(self, key: str, owner: Optional[str] = None
-              ) -> Optional[Lease]:
-        """Claim a point; ``None`` if someone else holds it."""
-        os.makedirs(self.directory, exist_ok=True)
-        lease = Lease(key=key, owner=owner or _worker_name(),
-                      pid=os.getpid(), host=socket.gethostname(),
-                      expires_unix=time.time() + self.ttl_s)
-        try:
-            descriptor = os.open(self._path(key),
-                                 os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return None
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            json.dump(lease.to_dict(), handle)
-        return lease
-
-    def peek(self, key: str) -> Optional[Lease]:
-        try:
-            with open(self._path(key), "r", encoding="utf-8") as handle:
-                return Lease.from_dict(json.load(handle))
-        except (OSError, ValueError, KeyError):
-            return None
-
-    def heartbeat(self, lease: Lease) -> Optional[Lease]:
-        """Extend a lease we still own; ``None`` if it was lost.
-
-        Ownership is re-checked from disk first so a reaped-and-reclaimed
-        point is not clobbered by a worker that lost its lease but kept
-        running (its eventual publish is idempotent anyway).
-        """
-        current = self.peek(lease.key)
-        if current is None or current.owner != lease.owner \
-                or current.generation != lease.generation:
-            return None
-        renewed = Lease(key=lease.key, owner=lease.owner, pid=lease.pid,
-                        host=lease.host,
-                        expires_unix=time.time() + self.ttl_s,
-                        generation=lease.generation)
-        _atomic_write(self._path(lease.key),
-                      json.dumps(renewed.to_dict()).encode("utf-8"))
-        return renewed
-
-    def release(self, lease: Lease) -> None:
-        try:
-            os.unlink(self._path(lease.key))
-        except OSError:
-            pass
-
-    def active(self) -> Dict[str, Lease]:
-        """Live (unexpired) leases by key."""
-        leases: Dict[str, Lease] = {}
-        now = time.time()
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return leases
-        for name in sorted(names):
-            if not name.endswith(".lease"):
-                continue
-            lease = self.peek(name[:-len(".lease")])
-            if lease is not None and not lease.expired(now):
-                leases[lease.key] = lease
-        return leases
-
-    def _reap(self, key: str) -> bool:
-        """Atomically remove one lease; True for the single winner."""
-        self._reap_counter += 1
-        tombstone = os.path.join(
-            self.directory,
-            f".reaped-{os.getpid()}-{self._reap_counter}-{key[:16]}")
-        try:
-            os.rename(self._path(key), tombstone)
-        except OSError:
-            return False  # someone else reaped (or released) it first
-        try:
-            os.unlink(tombstone)
-        except OSError:
-            pass
-        return True
-
-    def reap_expired(self, now: Optional[float] = None) -> List[str]:
-        """Re-queue every expired lease, each exactly once.
-
-        The rename-to-tombstone protocol guarantees that when several
-        workers race to reap the same orphan, exactly one wins; the
-        point then becomes claimable again through the normal exclusive
-        create.
-        """
-        reaped: List[str] = []
-        try:
-            names = sorted(os.listdir(self.directory))
-        except OSError:
-            return reaped
-        for name in names:
-            if not name.endswith(".lease"):
-                continue
-            key = name[:-len(".lease")]
-            lease = self.peek(key)
-            if lease is not None and lease.expired(now) \
-                    and self._reap(key):
-                reaped.append(key)
-        return reaped
-
-    def reap_dead(self) -> List[str]:
-        """Reap leases whose owner process is gone on *this* host.
-
-        A ``kill -9``'d worker leaves its lease behind; same-host
-        recovery need not wait out the TTL because the pid liveness
-        check is authoritative here.  Cross-host leases are left for
-        :meth:`reap_expired`.
-        """
-        reaped: List[str] = []
-        host = socket.gethostname()
-        try:
-            names = sorted(os.listdir(self.directory))
-        except OSError:
-            return reaped
-        for name in names:
-            if not name.endswith(".lease"):
-                continue
-            key = name[:-len(".lease")]
-            lease = self.peek(key)
-            if lease is None or lease.host != host \
-                    or lease.pid == os.getpid():
-                continue
-            try:
-                os.kill(lease.pid, 0)
-            except ProcessLookupError:
-                if self._reap(key):
-                    reaped.append(key)
-            except OSError:
-                continue  # pid exists but not ours to signal: leave it
-        return reaped
-
-
-class _LeaseKeeper:
-    """Daemon thread that heartbeats one lease while a point simulates."""
-
-    def __init__(self, queue: LeaseQueue, lease: Lease):
-        self.queue = queue
-        self.lease = lease
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        lease = self.lease
-        interval = max(0.05, self.queue.ttl_s / 4.0)
-        while not self._stop.wait(interval):
-            renewed = self.queue.heartbeat(lease)
-            if renewed is None:
-                return  # lease lost; publish stays idempotent
-            lease = renewed
-
-    def __enter__(self) -> "_LeaseKeeper":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
 
 
 # ----------------------------------------------------------------------
@@ -381,8 +141,7 @@ class Campaign:
     # -- creation / resume ---------------------------------------------
     @classmethod
     def ensure(cls, directory: str, points: Sequence[SweepPoint],
-               salt: str = CODE_VERSION, name: str = "campaign",
-               cost_model: Optional[ResourceCostModel] = None
+               salt: str = CODE_VERSION, name: str = "campaign"
                ) -> "Campaign":
         """Create the campaign, or verify+extend an existing one.
 
@@ -400,8 +159,8 @@ class Campaign:
         if not campaign.exists:
             manifest = {"format": CAMPAIGN_FORMAT, "name": name,
                         "salt": salt, "points": fresh}
-            _atomic_write(campaign.points_path, pickle.dumps(list(points)))
-            _atomic_write(campaign.manifest_path,
+            atomic_write(campaign.points_path, pickle.dumps(list(points)))
+            atomic_write(campaign.manifest_path,
                           json.dumps(manifest, indent=2,
                                      sort_keys=True).encode("utf-8"))
         else:
@@ -429,12 +188,12 @@ class Campaign:
                     added.append((by_name[entry["name"]], entry))
             if added:
                 existing = campaign.load_points()
-                _atomic_write(campaign.points_path,
+                atomic_write(campaign.points_path,
                               pickle.dumps(existing
                                            + [point for point, _ in added]))
                 manifest["points"] = manifest["points"] \
                     + [entry for _, entry in added]
-                _atomic_write(campaign.manifest_path,
+                atomic_write(campaign.manifest_path,
                               json.dumps(manifest, indent=2,
                                          sort_keys=True).encode("utf-8"))
         manifest = campaign.load_manifest()
@@ -445,13 +204,6 @@ class Campaign:
         return campaign
 
     # -- state ---------------------------------------------------------
-    def published_envelope(self, key: str) -> Optional[Dict[str, Any]]:
-        """The successful envelope for ``key``, if one is published."""
-        envelope = self.cache.load(key)
-        if envelope is None or envelope.get("failure") is not None:
-            return None
-        return envelope
-
     def clear_failure_envelopes(self) -> int:
         """Drop recorded failures so a resumed run re-executes them."""
         manifest = self.load_manifest()
@@ -459,12 +211,8 @@ class Campaign:
         for entry in manifest["points"]:
             envelope = self.cache.load(entry["key"])
             if envelope is not None and envelope.get("failure") is not None:
-                try:
-                    os.unlink(os.path.join(self.cache.directory,
-                                           f"{entry['key']}.json"))
-                    cleared += 1
-                except OSError:
-                    pass
+                self.cache.discard(entry["key"])
+                cleared += 1
         return cleared
 
     def publish(self, point: SweepPoint, key: str,
@@ -543,93 +291,62 @@ def _point_cost(point: SweepPoint,
 # Worker loop
 
 
-def run_worker(directory: str, worker_id: Optional[str] = None,
-               lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
+def run_worker(directory: str, lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
                timeout_s: Optional[float] = None,
-               poll_s: float = 0.05,
-               points: Optional[Sequence[SweepPoint]] = None,
-               on_point: Optional[Callable[[SweepPoint, str,
-                                            Dict[str, Any]], None]] = None
-               ) -> int:
+               points: Optional[Sequence[SweepPoint]] = None) -> int:
     """Drain a campaign: claim → evaluate → publish, until done.
 
-    Runs until every manifest point has an envelope (success *or*
-    failure — failed points are post-mortem data for this run; a new
-    :class:`CampaignRunner` run clears and retries them).  Safe to run
-    any number of workers concurrently against the same directory; this
-    is also the entry point of ``repro campaign worker``.  Returns the
-    number of points this worker executed.
+    Runs :func:`~repro.core.sweep.drain` over the campaign's points (or
+    ``points``) until every one has an envelope (success *or* failure —
+    failed points are post-mortem data for this run; a new
+    :class:`CampaignRunner` run clears and retries them), publishing each
+    into the campaign's results and store.  Safe to run any number of
+    workers concurrently against the same directory; this is also the
+    entry point of ``repro campaign worker``.  Returns the number of
+    points this worker executed.
     """
     campaign = Campaign.open(directory)
-    manifest = campaign.load_manifest()
-    salt = manifest["salt"]
-    all_points = list(points) if points is not None \
-        else campaign.load_points()
-    keys = {point.name: fingerprint(point, salt) for point in all_points}
+    salt = campaign.load_manifest()["salt"]
+    points = list(points) if points is not None else campaign.load_points()
+    work = [(point, fingerprint(point, salt)) for point in points]
     queue = LeaseQueue(campaign.queue_dir, ttl_s=lease_ttl_s)
-    owner = worker_id or _worker_name()
-    executed = 0
     with campaign.store() as store:
-        while True:
-            claimed_any = False
-            missing = 0
-            for point in all_points:
-                key = keys[point.name]
-                if campaign.cache.load(key) is not None:
-                    continue  # published (or failed) — done for this run
-                missing += 1
-                lease = queue.claim(key, owner)
-                if lease is None:
-                    continue
-                claimed_any = True
-                try:
-                    if campaign.cache.load(key) is not None:
-                        continue  # published while we raced for the lease
-                    with _LeaseKeeper(queue, lease):
-                        envelope = _evaluate_guarded(point, key, salt,
-                                                     timeout_s)
-                    campaign.publish(point, key, envelope, store=store)
-                    executed += 1
-                    if on_point is not None:
-                        on_point(point, key, envelope)
-                finally:
-                    queue.release(lease)
-            if missing == 0:
-                return executed
-            if not claimed_any:
-                # Everything left is leased elsewhere: recover orphans,
-                # then wait for live owners to publish.
-                if not (queue.reap_dead() or queue.reap_expired()):
-                    time.sleep(poll_s)
-
-
-def _spawned_worker(directory: str, lease_ttl_s: float,
-                    timeout_s: Optional[float]) -> None:  # pragma: no cover
-    """Child-process entry point (must be module-level for pickling)."""
-    run_worker(directory, lease_ttl_s=lease_ttl_s, timeout_s=timeout_s)
+        def publish(point: SweepPoint, key: str,
+                    envelope: Dict[str, Any]) -> None:
+            campaign.publish(point, key, envelope, store=store)
+        return drain(work, campaign.cache, queue, salt, timeout_s,
+                     publish=publish)
 
 
 # ----------------------------------------------------------------------
-# Runner (drop-in for SweepRunner)
+# Runner
 
 
-class CampaignRunner:
-    """Drive a point list through a durable campaign directory.
+class CampaignRunner(SweepRunner):
+    """A :class:`~repro.core.sweep.SweepRunner` pointed at a durable
+    campaign directory.
 
-    A drop-in replacement for :class:`~repro.core.sweep.SweepRunner` —
-    same ``run(points) -> SweepResult`` interface — so ``explore()``,
-    ``fig3_sweep``/``fig4_sweep``/``fig5_wearout_sweep`` and
-    ``trace_sweep`` become campaign clients just by being handed this
-    runner.  Differences from SweepRunner:
+    Same ``run(points) -> SweepResult`` interface and the same lease
+    queue, so ``explore()``, ``fig3_sweep``/``fig4_sweep``/
+    ``fig5_wearout_sweep`` and ``trace_sweep`` become campaign clients
+    just by being handed this runner.  What the campaign adds:
 
-    * points are published through the leased work-queue, so any number
-      of *additional* workers (other processes, other hosts) may drain
-      the same directory concurrently;
+    * the manifest: the point set is registered (or verified and
+      extended) before anything runs;
+    * the queue and results live in the directory, so any number of
+      *additional* workers (other processes, other hosts) may drain it
+      concurrently, and even ``workers=1`` claims through leases;
     * every run is resumable: published points are never recomputed and
-      are reported as ``cached`` (never ``simulated``) in the summary;
+      are reported as ``cached``; recorded failures are cleared and
+      re-run;
     * results are indexed in the campaign's SQLite store for
-      ``repro campaign status|query|report``.
+      ``repro campaign status|query|report``;
+    * the width is *not* capped at the CPU count: campaign workers are
+      explicit user intent (and the crash/resume tier needs real forked
+      workers even on 1-CPU boxes).
     """
+
+    cap_at_cpus = False
 
     def __init__(self, directory: str, workers: Optional[int] = None,
                  salt: str = CODE_VERSION, name: str = "campaign",
@@ -638,123 +355,34 @@ class CampaignRunner:
                  timeout_s: Optional[float] = None,
                  lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
                  cost_model: Optional[ResourceCostModel] = None):
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1 (or None for all cores)")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError("timeout_s must be positive (or None)")
-        self.directory = str(directory)
-        self.workers = workers if workers is not None \
-            else (os.cpu_count() or 1)
-        self.salt = salt
-        self.name = name
-        self.progress = progress
-        self.timeout_s = timeout_s
+        campaign = Campaign(directory)
+        super().__init__(workers=workers, cache_dir=campaign.cache.directory,
+                         salt=salt, progress=progress, timeout_s=timeout_s)
+        self.directory = campaign.directory
+        self.queue_dir = campaign.queue_dir
         self.lease_ttl_s = lease_ttl_s
+        self.name = name
         self.cost_model = cost_model or ResourceCostModel()
-        self.last_summary: Optional[SweepSummary] = None
-        self.last_result: Optional[SweepResult] = None
 
-    # ------------------------------------------------------------------
-    def run(self, points: Sequence[SweepPoint]) -> SweepResult:
-        points = list(points)
-        started = time.perf_counter()
+    def _fingerprints(self, points: Sequence[SweepPoint]) -> List[str]:
         campaign = Campaign.ensure(self.directory, points, salt=self.salt,
-                                   name=self.name,
-                                   cost_model=self.cost_model)
+                                   name=self.name)
         campaign.clear_failure_envelopes()
-        keys = [fingerprint(point, self.salt) for point in points]
+        return [fingerprint(point, self.salt) for point in points]
 
-        # Resume: anything already published is served, never recomputed.
-        prepublished = {key for key in keys
-                        if campaign.published_envelope(key) is not None}
-        pending = [index for index, key in enumerate(keys)
-                   if key not in prepublished]
+    def _drain(self, work: Sequence[Tuple[SweepPoint, str]],
+               results: SweepCache, queue: LeaseQueue) -> None:
+        run_worker(self.directory, lease_ttl_s=self.lease_ttl_s,
+                   timeout_s=self.timeout_s,
+                   points=[point for point, _ in work])
 
-        if pending:
-            # Unlike SweepRunner, the width is NOT capped at cpu_count:
-            # campaign workers are explicit user intent (and the crash /
-            # resume tier needs real forked workers even on 1-CPU boxes).
-            workers = min(self.workers, max(1, len(pending)))
-            queue = LeaseQueue(campaign.queue_dir, ttl_s=self.lease_ttl_s)
-            queue.reap_dead()
-            if workers == 1:
-                run_worker(self.directory, lease_ttl_s=self.lease_ttl_s,
-                           timeout_s=self.timeout_s, points=points)
-            else:
-                self._run_processes(workers)
-                # Belt and braces: if children died (or raced leases that
-                # then expired), finish the remainder in-process.
-                queue.reap_dead()
-                run_worker(self.directory, lease_ttl_s=self.lease_ttl_s,
-                           timeout_s=self.timeout_s, points=points)
-
-        outcomes: List[PointOutcome] = []
-        done = 0
-        store_rows: List[Tuple[SweepPoint, str, Dict[str, Any]]] = []
-        for point, key in zip(points, keys):
-            envelope = campaign.cache.load(key)
-            if envelope is None:  # unreachable unless the dir was wiped
-                envelope = {"payload": {}, "events": 0, "elapsed_s": 0.0,
-                            "failure": {"error_type": "CampaignError",
-                                        "message": "point never published"}}
-            cached = key in prepublished
-            failure = None
-            if envelope.get("failure") is not None:
-                failure = PointFailure.from_dict(envelope["failure"])
-            outcomes.append(PointOutcome(
-                name=point.name, payload=envelope.get("payload", {}),
-                cached=cached, events=int(envelope.get("events", 0)),
-                elapsed_s=0.0 if cached
-                else float(envelope.get("elapsed_s", 0.0)),
-                key=key, failure=failure))
-            store_rows.append((point, key, envelope))
-            done += 1
-            if self.progress is not None:
-                self.progress(outcomes[-1], done, len(points))
-
-        # Final idempotent sync so the store reflects this run even if a
-        # worker crashed between publishing and recording.
-        manifest = campaign.load_manifest()
+    def _sync(self, points: Sequence[SweepPoint], keys: Sequence[str],
+              envelopes: Sequence[Dict[str, Any]]) -> None:
+        """Final idempotent store sync, so the store reflects this run
+        even if a worker crashed between publishing and recording."""
+        campaign = Campaign.open(self.directory)
+        name = campaign.load_manifest()["name"]
         with campaign.store() as store:
-            for point, key, envelope in store_rows:
-                store.record_point(manifest["name"], point.name, envelope,
-                                   key=key,
+            for point, key, envelope in zip(points, keys, envelopes):
+                store.record_point(name, point.name, envelope, key=key,
                                    cost=_point_cost(point, self.cost_model))
-
-        cached_count = sum(1 for outcome in outcomes if outcome.cached)
-        failed_count = sum(1 for outcome in outcomes if outcome.failed)
-        fresh = [outcome for outcome in outcomes
-                 if not outcome.cached and not outcome.failed]
-        summary = SweepSummary(
-            total=len(points), cached=cached_count, simulated=len(fresh),
-            wall_seconds=time.perf_counter() - started,
-            simulated_events=sum(outcome.events for outcome in fresh),
-            workers=min(self.workers, max(1, len(pending)))
-            if pending else 1,
-            failed=failed_count)
-        self.last_summary = summary
-        result = SweepResult(outcomes=outcomes, summary=summary)
-        self.last_result = result
-        return result
-
-    # ------------------------------------------------------------------
-    def _run_processes(self, workers: int) -> None:
-        """Spawn ``workers`` child processes draining the campaign."""
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None)
-        children = []
-        try:
-            for _ in range(workers):
-                child = context.Process(
-                    target=_spawned_worker,
-                    args=(self.directory, self.lease_ttl_s,
-                          self.timeout_s))
-                child.start()
-                children.append(child)
-        except (OSError, ValueError):  # cannot spawn: serial fallback
-            pass
-        for child in children:
-            child.join()

@@ -1,17 +1,17 @@
-"""Parallel design-space sweep engine with a content-addressed result cache.
+"""Design-space sweep engine: one runner, a content-addressed result cache.
 
 The paper's workflow is *fine-grained design space exploration*: many
 independent (architecture, workload) points evaluated against the same
 metrics.  Those evaluations share nothing at runtime, so
-:class:`SweepRunner` fans them out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` (default width
-``os.cpu_count()``, serial in-process fallback for ``workers=1`` or when
-no pool can be created) and memoizes each point in an on-disk cache keyed
-by a stable content hash of the architecture + workload + evaluator
-parameters + a code-version salt.  Re-running a sweep therefore only
-simulates new or changed points, and because every finished point is
-flushed to the cache as it arrives, a killed sweep resumes where it left
-off.
+:class:`SweepRunner` runs them serially in process (``workers=1``) or
+fans them out over forked workers that drain a leased work queue
+(:mod:`repro.core.leases`) — the same claim → evaluate → publish loop a
+durable campaign uses — and memoizes each point in an on-disk cache
+keyed by a stable content hash of the architecture + workload +
+evaluator parameters + a code-version salt.  Re-running a sweep
+therefore only simulates new or changed points, and because every
+finished point is flushed to the cache as it arrives, a killed sweep
+resumes where it left off.
 
 Determinism contract: a point's *payload* (the cacheable result) depends
 only on its fingerprint inputs — parallel and serial runs produce
@@ -26,18 +26,20 @@ import enum
 import hashlib
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import random
+import shutil
 import signal
+import tempfile
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 from ..ssd.device import DataPathMode
+from .leases import DEFAULT_LEASE_TTL_S, LeaseKeeper, LeaseQueue
 from ..ssd.scenarios import breakdown_with_events, measure
 
 #: Salt folded into every fingerprint.  Bump whenever a change alters the
@@ -132,7 +134,7 @@ def _seed_for(point: SweepPoint, key: Optional[str]) -> int:
 
 
 # ----------------------------------------------------------------------
-# Evaluators — module-level so worker processes can import them.
+# Evaluators
 
 
 def _eval_breakdown(point: SweepPoint) -> Tuple[Dict[str, Any], int]:
@@ -162,8 +164,6 @@ def _eval_replay(point: SweepPoint) -> Tuple[Dict[str, Any], int]:
 
     Deferred import: the replay machinery lives in
     :mod:`repro.core.tracereplay`, which imports this module's types.
-    Being a module-level function here keeps it picklable for worker
-    pools regardless of start method.
     """
     from .tracereplay import evaluate_replay_point
     return evaluate_replay_point(point)
@@ -227,8 +227,8 @@ def _evaluate_guarded(point: SweepPoint, key: Optional[str], salt: str,
     """:func:`_evaluate`, but a crash or timeout becomes a *failure
     envelope* instead of an exception.
 
-    Worker processes return these like any other result, so one diverging
-    point cannot take down the sweep; the recorded traceback travels with
+    Workers publish these like any other result, so one diverging point
+    cannot take down the sweep; the recorded traceback travels with
     the envelope for the summary report and the cache.
     """
     started = time.perf_counter()
@@ -302,6 +302,12 @@ class SweepCache:
             json.dump(envelope, handle, sort_keys=True)
         os.replace(tmp, path)  # atomic: a killed sweep leaves no partials
 
+    def discard(self, key: str) -> None:
+        try:
+            os.unlink(self._path(key))
+        except OSError:
+            pass
+
     def __len__(self) -> int:
         try:
             return sum(1 for name in os.listdir(self.directory)
@@ -319,8 +325,8 @@ class PointFailure:
     """Typed record of a point that crashed, timed out or was lost.
 
     Stored in the cache envelope (so post-mortems survive the run) but
-    always treated as a cache *miss* on load — ``--resume`` re-runs
-    failed points instead of replaying their failures.
+    always treated as a cache *miss* on load — a re-run sweep runs
+    failed points again instead of replaying their failures.
     """
 
     error_type: str
@@ -418,40 +424,135 @@ class SweepResult:
         return "\n".join(lines)
 
 
-class SweepRunner:
-    """Fans independent sweep points out over worker processes.
+def drain(work: Sequence[Tuple[SweepPoint, str]], results: SweepCache,
+          queue: LeaseQueue, salt: str, timeout_s: Optional[float],
+          publish: Optional[Callable[[SweepPoint, str, Dict[str, Any]],
+                                     None]] = None,
+          poll_s: float = 0.05) -> int:
+    """Claim → evaluate → publish ``(point, key)`` pairs until every key
+    has an envelope in ``results``.
 
-    ``workers=None`` uses every core; ``workers=1`` runs serially in
-    process (no pool, no pickling).  With ``cache_dir`` set, finished
-    points are flushed to the cache as they complete and future runs skip
-    any point whose fingerprint already has an entry (disable reads with
-    ``use_cache=False`` to force re-simulation while still writing).
+    Any number of processes may drain the same work against the same
+    queue and results: a point runs where its lease was won, and a
+    process that finds everything left leased elsewhere reaps orphans
+    (dead same-host owners, expired leases) and waits for the live
+    owners to publish.  A failure envelope counts as done — it is this
+    run's result for the point.  ``publish`` defaults to storing the
+    envelope in ``results``.  Returns the number of points evaluated
+    here.
     """
+    if publish is None:
+        def publish(point: SweepPoint, key: str,
+                    envelope: Dict[str, Any]) -> None:
+            results.store(key, envelope)
+    executed = 0
+    while True:
+        claimed_any = False
+        missing = 0
+        for point, key in work:
+            if results.load(key) is not None:
+                continue  # published (or failed) — done for this run
+            missing += 1
+            lease = queue.claim(key)
+            if lease is None:
+                continue
+            claimed_any = True
+            try:
+                if results.load(key) is not None:
+                    continue  # published while we raced for the lease
+                with LeaseKeeper(queue, lease):
+                    envelope = _evaluate_guarded(point, key, salt, timeout_s)
+                publish(point, key, envelope)
+                executed += 1
+            finally:
+                queue.release(lease)
+        if missing == 0:
+            return executed
+        if not claimed_any:
+            # Everything left is leased elsewhere: recover orphans, then
+            # wait for live owners to publish.
+            if not (queue.reap_dead() or queue.reap_expired()):
+                time.sleep(poll_s)
+
+
+def _fork_join(count: int, target: Callable[[], Any]) -> None:
+    """Run ``target`` in ``count`` forked children; reap each as it exits.
+
+    Children are joined in exit order, not start order, so a killed
+    child never lingers as a zombie whose pid still looks alive to its
+    siblings' :meth:`LeaseQueue.reap_dead`.  Without ``fork`` (or when a
+    fork fails) fewer children run, and the caller's own drain picks up
+    the rest.
+    """
+    if count < 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for _ in range(count):
+            child = context.Process(target=target)
+            child.start()
+            children.append(child)
+    except OSError:
+        pass
+    while children:
+        ready = multiprocessing.connection.wait(
+            [child.sentinel for child in children])
+        for child in [child for child in children
+                      if child.sentinel in ready]:
+            child.join()
+            children.remove(child)
+
+
+def _unpublished(point: SweepPoint) -> Dict[str, Any]:
+    """Failure envelope for a point no drain published (unreachable
+    unless the results directory was wiped mid-run)."""
+    return {"payload": {}, "events": 0, "elapsed_s": 0.0,
+            "failure": {"error_type": "SweepError",
+                        "message": f"point {point.name!r} never published"}}
+
+
+class SweepRunner:
+    """Runs independent sweep points, in process or over forked workers.
+
+    ``workers=None`` uses every core.  The width is capped at the CPU
+    count and at the number of pending points.  A width of 1 runs the
+    points serially in process: no forks, no lease files, and no
+    filesystem writes without a cache.  A wider run forks children that
+    drain the pending points through a private :class:`LeaseQueue` (see
+    :func:`drain`); then the parent reaps the leases of dead children
+    and drains what is left, so a child killed mid-point costs one
+    re-run of that point.  With ``cache_dir`` set, finished points are
+    stored in the cache as they complete, and future runs serve any
+    point whose fingerprint already has a successful entry.
+    """
+
+    #: Cap the parallel width at the CPU count: asking for more workers
+    #: than cores only buys fork overhead (BENCH_sweep.json measured
+    #: "parallel" 7% slower than serial on a 1-CPU box).  Campaign
+    #: workers are explicit user intent, so a campaign lifts the cap.
+    cap_at_cpus = True
 
     def __init__(self, workers: Optional[int] = None,
                  cache_dir: Optional[str] = None,
-                 use_cache: bool = True,
                  salt: str = CODE_VERSION,
                  progress: Optional[Callable[[PointOutcome, int, int],
                                              None]] = None,
-                 timeout_s: Optional[float] = None,
-                 pool_retries: int = 2,
-                 retry_backoff_s: float = 0.5):
+                 timeout_s: Optional[float] = None):
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1 (or None for all cores)")
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError("timeout_s must be positive (or None)")
-        if pool_retries < 0:
-            raise ValueError("pool_retries must be >= 0")
         self.workers = workers if workers is not None \
             else (os.cpu_count() or 1)
         self.cache = SweepCache(cache_dir) if cache_dir else None
-        self.use_cache = use_cache
         self.salt = salt
         self.progress = progress
         self.timeout_s = timeout_s
-        self.pool_retries = pool_retries
-        self.retry_backoff_s = retry_backoff_s
+        #: Lease directory shared with other processes; ``None`` gives
+        #: each parallel run a private one.
+        self.queue_dir: Optional[str] = None
+        self.lease_ttl_s = DEFAULT_LEASE_TTL_S
         self.last_summary: Optional[SweepSummary] = None
         self.last_result: Optional[SweepResult] = None
 
@@ -459,81 +560,58 @@ class SweepRunner:
     def run(self, points: Sequence[SweepPoint]) -> SweepResult:
         points = list(points)
         started = time.perf_counter()
+        keys = self._fingerprints(points)
         outcomes: List[Optional[PointOutcome]] = [None] * len(points)
+        envelopes: List[Optional[Dict[str, Any]]] = [None] * len(points)
         done = 0
 
-        keys: List[Optional[str]] = []
-        for point in points:
-            try:
-                keys.append(fingerprint(point, self.salt))
-            except TypeError:
-                keys.append(None)  # unhashable workload: run uncached
-
-        pending: List[int] = []
-        for index, (point, key) in enumerate(zip(points, keys)):
-            envelope = None
-            if self.cache is not None and self.use_cache and key is not None:
-                envelope = self.cache.load(key)
-            if envelope is not None and envelope.get("failure") is not None:
-                # Recorded failures are post-mortem data, never results:
-                # a resumed sweep re-runs the point from scratch.
-                envelope = None
-            if envelope is not None:
-                outcomes[index] = PointOutcome(
-                    name=point.name, payload=envelope["payload"],
-                    cached=True, events=int(envelope.get("events", 0)),
-                    elapsed_s=0.0, key=key)
-                done += 1
-                self._emit(outcomes[index], done, len(points))
-            else:
-                pending.append(index)
-
-        def finish(index: int, envelope: Dict[str, Any]) -> None:
+        def finish(index: int, envelope: Dict[str, Any],
+                   cached: bool) -> None:
             nonlocal done
-            if self.cache is not None and keys[index] is not None:
-                self.cache.store(keys[index], envelope)
-            failure = None
-            if envelope.get("failure") is not None:
-                failure = PointFailure.from_dict(envelope["failure"])
+            failure = envelope.get("failure")
             outcomes[index] = PointOutcome(
                 name=points[index].name, payload=envelope["payload"],
-                cached=False, events=int(envelope["events"]),
-                elapsed_s=float(envelope["elapsed_s"]), key=keys[index],
-                failure=failure)
+                cached=cached, events=int(envelope.get("events", 0)),
+                elapsed_s=0.0 if cached
+                else float(envelope.get("elapsed_s", 0.0)),
+                key=keys[index],
+                failure=None if failure is None
+                else PointFailure.from_dict(failure))
+            envelopes[index] = envelope
             done += 1
             self._emit(outcomes[index], done, len(points))
 
-        # Cap the effective width at the actual core count: asking for
-        # more workers than cores only buys ProcessPoolExecutor overhead
-        # (BENCH_sweep.json measured "parallel" 7% slower than serial on
-        # a 1-CPU box), and a cap of 1 degrades to the serial in-process
-        # path — byte-identical payloads either way, per the determinism
-        # contract.
-        workers = min(self.workers, os.cpu_count() or 1,
-                      max(1, len(pending)))
-        if pending:
-            if workers == 1 or len(pending) == 1:
-                for index in pending:
-                    finish(index, _evaluate_guarded(
-                        points[index], keys[index], self.salt,
-                        self.timeout_s))
+        pending: List[int] = []
+        for index, key in enumerate(keys):
+            envelope = self._served(key)
+            if envelope is not None:
+                finish(index, envelope, cached=True)
             else:
-                self._run_pool(points, keys, pending, workers, finish)
+                pending.append(index)
 
-        wall = time.perf_counter() - started
+        cap = (os.cpu_count() or 1) if self.cap_at_cpus else self.workers
+        workers = min(self.workers, cap, max(1, len(pending)))
+        if workers == 1 and self.queue_dir is None:
+            for index in pending:
+                finish(index, self._evaluate_here(points[index], keys[index]),
+                       cached=False)
+        elif pending:
+            for index, envelope in self._run_queued(points, keys, pending,
+                                                    workers):
+                finish(index, envelope, cached=False)
+        self._sync(points, keys, envelopes)
+
         # Disjoint accounting: a fresh point that failed is "failed", not
         # "simulated", and cached + simulated + failed == total.
-        simulated = [o for o in outcomes
-                     if o is not None and not o.cached and not o.failed]
+        simulated = [o for o in outcomes if not o.cached and not o.failed]
         summary = SweepSummary(
             total=len(points),
-            cached=len(points) - len(pending),
+            cached=sum(1 for o in outcomes if o.cached),
             simulated=len(simulated),
-            wall_seconds=wall,
+            wall_seconds=time.perf_counter() - started,
             simulated_events=sum(o.events for o in simulated),
             workers=workers,
-            failed=sum(1 for o in outcomes
-                       if o is not None and o.failed),
+            failed=sum(1 for o in outcomes if o.failed),
         )
         self.last_summary = summary
         result = SweepResult(outcomes=list(outcomes), summary=summary)
@@ -541,58 +619,98 @@ class SweepRunner:
         return result
 
     # ------------------------------------------------------------------
-    def _run_pool(self, points: Sequence[SweepPoint],
-                  keys: Sequence[Optional[str]], pending: Sequence[int],
-                  workers: int, finish: Callable[[int, Dict[str, Any]],
-                                                 None]) -> None:
-        """Fan pending points out, surviving worker-pool crashes.
-
-        Ordinary point failures come back as failure envelopes (handled
-        worker-side), so the only exception expected here is
-        :class:`BrokenProcessPool` — a worker died hard (segfault, OOM
-        kill).  The batch is retried on a fresh pool with exponential
-        backoff; whatever still crashes the pool after the retry budget
-        runs serially in-process, one point at a time, so a single killer
-        point is isolated instead of sinking the sweep.
-        """
-        remaining = list(pending)
-        backoff = self.retry_backoff_s
-        for attempt in range(self.pool_retries + 1):
-            if not remaining:
-                return
+    def _fingerprints(self, points: Sequence[SweepPoint]
+                      ) -> List[Optional[str]]:
+        keys: List[Optional[str]] = []
+        for point in points:
             try:
-                self._drain_pool(points, keys, remaining, workers, finish)
-                return
-            except BrokenProcessPool:
-                if attempt < self.pool_retries:
-                    time.sleep(backoff)
-                    backoff *= 2
-            except (OSError, ValueError, ImportError):
-                # Platforms without usable multiprocessing: serial fallback.
-                break
-        for index in list(remaining):
-            finish(index, _evaluate_guarded(points[index], keys[index],
-                                            self.salt, self.timeout_s))
-            remaining.remove(index)
+                keys.append(fingerprint(point, self.salt))
+            except TypeError:
+                keys.append(None)  # unhashable workload: run uncached
+        return keys
 
-    def _drain_pool(self, points: Sequence[SweepPoint],
-                    keys: Sequence[Optional[str]], remaining: List[int],
-                    workers: int, finish: Callable[[int, Dict[str, Any]],
-                                                   None]) -> None:
-        """One pool generation; drops finished indices from ``remaining``."""
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None)
-        with ProcessPoolExecutor(max_workers=min(workers, len(remaining)),
-                                 mp_context=context) as pool:
-            futures = {pool.submit(_evaluate_guarded, points[index],
-                                   keys[index], self.salt,
-                                   self.timeout_s): index
-                       for index in remaining}
-            for future in as_completed(futures):
-                index = futures[future]
-                finish(index, future.result())
-                remaining.remove(index)
+    def _served(self, key: Optional[str]) -> Optional[Dict[str, Any]]:
+        """The cached successful envelope for ``key``, if any.  Recorded
+        failures are post-mortem data, never results: a re-run sweep
+        runs the point again."""
+        if self.cache is None or key is None:
+            return None
+        envelope = self.cache.load(key)
+        if envelope is None or envelope.get("failure") is not None:
+            return None
+        return envelope
+
+    def _evaluate_here(self, point: SweepPoint,
+                       key: Optional[str]) -> Dict[str, Any]:
+        envelope = _evaluate_guarded(point, key, self.salt, self.timeout_s)
+        if self.cache is not None and key is not None:
+            self.cache.store(key, envelope)
+        return envelope
+
+    def _run_queued(self, points: Sequence[SweepPoint],
+                    keys: Sequence[Optional[str]], pending: Sequence[int],
+                    workers: int) -> List[Tuple[int, Dict[str, Any]]]:
+        """Drain ``pending`` through the lease queue: ``workers`` forked
+        children (none at width 1), then the parent reaps dead
+        children's leases and drains what is left.
+
+        The queue holds one point per fingerprint.  A point with no
+        fingerprint, or one that shares its fingerprint with an earlier
+        pending point of another name, runs in the parent afterwards,
+        so every point still reaches its evaluator under its own name.
+        """
+        first: Dict[str, int] = {}
+        queued: List[int] = []
+        loose: List[int] = []
+        for index in pending:
+            key = keys[index]
+            owner = first.setdefault(key, index) if key is not None else index
+            if key is None or points[owner].name != points[index].name:
+                loose.append(index)
+            else:
+                queued.append(index)
+        work = [(points[index], keys[index]) for index in queued
+                if first[keys[index]] == index]
+
+        envelopes: Dict[int, Dict[str, Any]] = {}
+        scratch = None
+        if self.cache is None or self.queue_dir is None:
+            scratch = tempfile.mkdtemp(prefix="repro-sweep-")
+        try:
+            results = self.cache if self.cache is not None \
+                else SweepCache(os.path.join(scratch, "results"))
+            queue = LeaseQueue(self.queue_dir
+                               or os.path.join(scratch, "queue"),
+                               ttl_s=self.lease_ttl_s)
+            for _, key in work:
+                # Pending means no successful entry: whatever is stored
+                # is a recorded failure, which the drain would take as
+                # this run's result.
+                results.discard(key)
+            queue.reap_dead()
+            _fork_join(workers if workers > 1 else 0,
+                       lambda: self._drain(work, results, queue))
+            queue.reap_dead()
+            self._drain(work, results, queue)
+            for index in queued:
+                envelopes[index] = results.load(keys[index]) \
+                    or _unpublished(points[index])
+        finally:
+            if scratch is not None:
+                shutil.rmtree(scratch, ignore_errors=True)
+        for index in loose:
+            envelopes[index] = self._evaluate_here(points[index], keys[index])
+        return sorted(envelopes.items())
+
+    def _drain(self, work: Sequence[Tuple[SweepPoint, str]],
+               results: SweepCache, queue: LeaseQueue) -> None:
+        drain(work, results, queue, self.salt, self.timeout_s)
+
+    def _sync(self, points: Sequence[SweepPoint],
+              keys: Sequence[Optional[str]],
+              envelopes: Sequence[Dict[str, Any]]) -> None:
+        """Hook run once every point has its envelope (campaigns index
+        them in their result store)."""
 
     def _emit(self, outcome: PointOutcome, done: int, total: int) -> None:
         if self.progress is not None:

@@ -20,20 +20,16 @@ from .resources import Grant, PriorityResource, Resource, Store, using_acquire
 from .simtime import (MS, NS, PS, SEC, US, Clock, format_time, ms, ns,
                       period_from_hz, ps, seconds, to_seconds, to_us, us)
 from .simulator import Simulator
-from .tracing import (TraceRecord, TraceRecorder, disable_tracing,
-                      enable_tracing, trace, trace_enabled)
-from .stats import (Accumulator, Counter, Histogram, LatencyHistogram,
-                    StatSet, ThroughputMeter, UtilizationTracker)
+from .stats import (Accumulator, Counter, LatencyHistogram, StatSet,
+                    ThroughputMeter, UtilizationTracker)
 
 __all__ = [
     "Accumulator", "Clock", "Component", "Condition", "ConfigError",
-    "Counter", "Event", "Grant", "Histogram", "Interrupt",
+    "Counter", "Event", "Grant", "Interrupt",
     "LatencyHistogram", "MS", "NS", "PS",
     "PriorityResource", "Process", "Resource", "SEC", "SimulationError",
     "Simulator", "StatSet", "Store", "ThroughputMeter", "Timeout", "US",
     "UtilizationTracker", "all_of", "any_of", "format_time", "load_file",
     "loads", "ms", "ns", "parse_flat_config", "period_from_hz", "ps",
-    "seconds", "to_seconds", "to_us", "trace", "trace_enabled", "us",
-    "using_acquire",
-    "TraceRecord", "TraceRecorder", "disable_tracing", "enable_tracing",
+    "seconds", "to_seconds", "to_us", "us", "using_acquire",
 ]

@@ -64,77 +64,17 @@ class Accumulator:
         return math.sqrt(self.variance)
 
 
-class Histogram:
-    """Fixed-bin histogram with percentile queries (for latency CDFs)."""
-
-    def __init__(self, bin_width: float, max_bins: int = 4096):
-        if bin_width <= 0:
-            raise ValueError(f"bin_width must be positive, got {bin_width}")
-        self.bin_width = bin_width
-        self.max_bins = max_bins
-        self.bins: Dict[int, int] = {}
-        self.count = 0
-        self.overflow = 0
-
-    def add(self, sample: float) -> None:
-        index = int(sample // self.bin_width)
-        if index >= self.max_bins:
-            # Out-of-range samples are counted but kept out of the bins:
-            # folding them into the last bin would fabricate a CDF tail at
-            # `max_bins * bin_width` no matter how far out they really are.
-            self.overflow += 1
-            self.count += 1
-            return
-        self.bins[index] = self.bins.get(index, 0) + 1
-        self.count += 1
-
-    def percentile(self, fraction: float) -> float:
-        """Return the upper edge of the bin containing the given quantile.
-
-        ``fraction == 0.0`` is the distribution minimum and returns the
-        *lower* edge of the first occupied bin (the pre-fix code returned
-        its upper edge, overstating the minimum by one bin width).
-
-        A quantile landing exactly on the binned/overflow boundary (all
-        binned samples seen, none of the overflow needed) still resolves
-        to the last occupied bin's upper edge; only quantiles that need
-        overflow samples return ``math.inf`` — the histogram knows the
-        tail exists but not where it ends.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        if self.count == 0:
-            return 0.0
-        if fraction == 0.0:
-            if self.bins:
-                return min(self.bins) * self.bin_width
-            # Only overflow samples: the minimum is somewhere past the
-            # binned range, whose lower boundary is all we know.
-            return self.max_bins * self.bin_width
-        target = fraction * self.count
-        seen = 0
-        for index in sorted(self.bins):
-            seen += self.bins[index]
-            if seen >= target:
-                return (index + 1) * self.bin_width
-        if self.overflow:
-            return math.inf
-        return (max(self.bins) + 1) * self.bin_width
-
-
 class LatencyHistogram:
     """Log-spaced histogram with constant *relative* resolution.
 
-    The linear :class:`Histogram` trades tail resolution for range: a
-    ``bin_width`` fine enough to resolve a 100 us median caps out at
-    ``max_bins * bin_width`` and everything past it collapses into the
-    unbounded overflow bucket, so p99.9/p99.99 of a long-tailed latency
-    distribution degrade to ``inf``; widening the bins to reach the tail
-    instead flattens the body into one bucket and misreports the median.
-    This variant bins on a base-2 log scale — ``bins_per_octave``
-    sub-bins per power of two — so every quantile resolves to within a
-    relative error of ``1 / bins_per_octave`` over the entire positive
-    float range, with no overflow bucket at all.
+    Linear bins trade tail resolution for range: a bin width fine
+    enough to resolve a 100 us median runs out of bins long before a
+    long latency tail, and bins wide enough to reach the tail flatten
+    the body into one bucket.  This histogram bins on a base-2 log
+    scale — ``bins_per_octave`` sub-bins per power of two — so every
+    quantile resolves to within a relative error of
+    ``1 / bins_per_octave`` over the entire positive float range, with
+    no overflow bucket at all.
 
     Binning uses :func:`math.frexp` and exact dyadic arithmetic (no
     ``log``), so bin indices and edges are bit-identical across
@@ -191,9 +131,10 @@ class LatencyHistogram:
     def percentile(self, fraction: float) -> float:
         """Upper edge of the bin containing the given quantile.
 
-        Same contract as :meth:`Histogram.percentile` (``fraction == 0.0``
-        returns the lower edge of the first occupied bin), except the
-        result is always finite — there is no overflow bucket.
+        ``fraction == 0.0`` is the distribution minimum and returns the
+        lower edge of the first occupied bin (0.0 when a zero sample
+        was seen).  The result is always finite — there is no overflow
+        bucket.
         """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")

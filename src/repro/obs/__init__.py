@@ -1,7 +1,6 @@
 """Observability: span-based latency decomposition and trace export.
 
-Built on the same zero-cost-when-disabled pattern as
-:mod:`repro.kernel.tracing`: a module-level flag plus a process-global
+Zero-cost when disabled: a module-level flag plus a process-global
 recorder hook.  See :mod:`repro.obs.spans` for the span model,
 :mod:`repro.obs.chrometrace` for the Chrome ``trace_event`` exporter and
 :mod:`repro.obs.profile` for the breakdown/bottleneck renderers behind

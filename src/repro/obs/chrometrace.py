@@ -43,11 +43,14 @@ def to_chrome_trace(recorder, pid: int = 1,
     for span in recorder.commands:
         tid = _CMD_TID_BASE + (span.span_id % COMMAND_LANES)
         used_lanes.add(tid)
+        args: Dict[str, Any] = {"id": span.span_id}
+        if span.status is not None:
+            args["status"] = span.status
         events.append({
             "name": span.label, "cat": "command", "ph": "X",
             "ts": span.start_ps / _PS_PER_US,
             "dur": (span.end_ps - span.start_ps) / _PS_PER_US,
-            "pid": pid, "tid": tid, "args": {"id": span.span_id},
+            "pid": pid, "tid": tid, "args": args,
         })
         for name, start, end in span.stages:
             events.append({

@@ -1,22 +1,22 @@
 """Span-based instrumentation: exact latency decomposition per command.
 
-The tracing layer (:mod:`repro.kernel.tracing`) answers "what happened";
-this layer answers "where did the time go".  Two kinds of spans are
-recorded:
+Spans answer both "what happened" and "where did the time go".  Two
+kinds of spans are recorded:
 
 * **Command spans** — every host command carries a :class:`CommandSpan`
   from device issue to completion.  The span is a *gap-free* stage
   timeline: each pipeline boundary calls :meth:`CommandSpan.mark` which
   closes the stage that just ended, so the per-command stage durations
   sum to the end-to-end latency exactly (the invariant the profile CLI
-  and its tests rely on).
+  and its tests rely on).  A command the device fails carries its
+  error status on the span.
 * **Component spans** — individual resources (host link, DRAM
   controllers, ONFI buses, NAND dies, ECC engines, the gang arbiter)
   record ``(track, name, start, end)`` intervals describing their own
   activity.  These overlap freely and feed the Chrome-trace export and
   the per-resource activity table.
 
-Like tracing, observability is opt-in and zero-cost when disabled: hot
+Observability is opt-in and zero-cost when disabled: hot
 call sites guard with :func:`obs_enabled` (a module-level flag read)
 before touching ``sim.now`` or building any object, so a disabled run
 pays a single flag check per call site and allocates nothing.
@@ -24,7 +24,7 @@ pays a single flag check per call site and allocates nothing.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..kernel.stats import Accumulator
 
@@ -60,10 +60,12 @@ class CommandSpan:
     the previous one records nothing).  Marks after ``finish`` are
     ignored — a cached write completes to the host before its background
     flush runs, and the flush must not extend the command's timeline.
+    ``status`` is ``None`` for a command that completed and the
+    :class:`~repro.host.commands.IoStatus` value of one that failed.
     """
 
     __slots__ = ("span_id", "label", "start_ps", "end_ps", "stages",
-                 "_cursor", "finished")
+                 "_cursor", "finished", "status")
 
     def __init__(self, span_id: int, label: str, start_ps: int):
         self.span_id = span_id
@@ -73,6 +75,7 @@ class CommandSpan:
         self._cursor = start_ps
         self.stages: List[Tuple[str, int, int]] = []
         self.finished = False
+        self.status: Optional[str] = None
 
     def mark(self, name: str, now: int) -> None:
         """Close the current stage at ``now``, labeling it ``name``."""
@@ -117,9 +120,8 @@ class SpanRecorder:
     totals) are unbounded and exact; the *retained* raw span lists that
     feed the Chrome-trace export are bounded, and spans past the caps
     are counted in ``dropped_commands`` / ``dropped_component_spans``
-    instead of being kept (mirroring ``TraceRecorder.dropped``, except
-    the ring there evicts oldest-first while this keeps the head of the
-    run — the trace viewer wants a contiguous prefix).
+    instead of being kept: the recorder keeps the head of the run, since
+    the trace viewer wants a contiguous prefix.
     """
 
     def __init__(self, max_command_spans: int = 100_000,
@@ -222,7 +224,7 @@ class SpanRecorder:
 
 
 class _NullRecorder:
-    """The disabled hook: every call is a no-op (mirrors tracing)."""
+    """The disabled hook: every call is a no-op."""
 
     def begin_command(self, label: str, now: int) -> None:
         return None
@@ -248,8 +250,7 @@ active_recorder = _NullRecorder()
 def obs_enabled() -> bool:
     """True when a span recorder is installed.
 
-    The idiom for instrumented call sites (same shape as the tracing
-    guard)::
+    The idiom for instrumented call sites::
 
         t0 = self.sim.now if obs_enabled() else -1
         ...  # the timed activity

@@ -33,7 +33,6 @@ from ..faults import (FaultPlan, ProgramFailError, SparePoolExhausted,
 from ..host import HostInterface, IoCommand, IoOpcode, IoStatus
 from ..interconnect import AhbBus
 from ..kernel import Component, Resource, Simulator
-from ..kernel.tracing import trace, trace_enabled
 from ..obs import spans as _obs
 from ..nand.geometry import PageAddress
 from .architecture import CachePolicy, CpuMode, SsdArchitecture
@@ -699,20 +698,16 @@ class SsdDevice(Component):
     # ------------------------------------------------------------------
     def _fail(self, command: IoCommand, status: IoStatus) -> None:
         """Complete a command with an error status (never crash the sim)."""
-        if trace_enabled():
-            trace(self.sim.now, self.path(), "fail",
-                  f"{command} -> {status.value}")
         command.status = status
         command.complete_time_ps = self.sim.now
         if command.span is not None:
+            command.span.status = status.value
             _obs.active_recorder.end_command(command.span, self.sim.now)
         self.commands_failed += 1
         self.last_completion_ps = self.sim.now
         self.stats.counter("failed_commands").increment()
 
     def _complete(self, command: IoCommand, count_bytes: bool = True) -> None:
-        if trace_enabled():
-            trace(self.sim.now, self.path(), "complete", str(command))
         command.complete_time_ps = self.sim.now
         if command.span is not None:
             _obs.active_recorder.end_command(command.span, self.sim.now)

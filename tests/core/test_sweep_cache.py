@@ -97,17 +97,6 @@ class TestCacheRoundTrip:
                              salt="sweep-999").run(points)
         assert bumped.summary.simulated == 1
 
-    def test_use_cache_false_resimulates_but_refreshes(self, tmp_path):
-        points = [tiny_point()]
-        runner = SweepRunner(workers=1, cache_dir=str(tmp_path))
-        runner.run(points)
-        fresh = SweepRunner(workers=1, cache_dir=str(tmp_path),
-                            use_cache=False).run(points)
-        assert fresh.summary.simulated == 1
-        # ...and the refreshed entry still serves later warm runs.
-        warm = SweepRunner(workers=1, cache_dir=str(tmp_path)).run(points)
-        assert warm.summary.cached == 1
-
     @pytest.mark.parametrize("garbage", [
         b"",                          # truncated to nothing
         b"{\"payload\": {",           # truncated mid-JSON

@@ -73,3 +73,25 @@ class TestParallelSerialIdentity:
         assert [p.name for p in serial.pareto_frontier()] \
             == [p.name for p in parallel.pareto_frontier()]
         assert serial.cheapest_within().name == parallel.cheapest_within().name
+
+    def test_shared_fingerprint_keeps_each_name(self, monkeypatch):
+        """Two points with one fingerprint under different names (the
+        name is not part of the key) each reach the evaluator under
+        their own name in a parallel run, as they do serially: the
+        ``measure`` payload's label is the point name."""
+        import json
+        from repro.core import sweep as sweep_module
+        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+        arch = four_point_space()["P2"]
+        workload = sequential_write(4096 * 10)
+        points = [SweepPoint(name=name, arch=arch, workload=workload,
+                             evaluator="measure")
+                  for name in ("alpha", "beta")]
+        serial = SweepRunner(workers=1).run(points)
+        parallel = SweepRunner(workers=2).run(points)
+        assert parallel.summary.workers == 2
+        assert [o.payload["label"] for o in parallel.outcomes] \
+            == ["alpha", "beta"]
+        blob = lambda res: json.dumps(  # noqa: E731
+            [o.payload for o in res.outcomes], sort_keys=True)
+        assert blob(serial) == blob(parallel)

@@ -1,12 +1,17 @@
-"""Sweep hardening: failure envelopes, timeouts, resume of failed points.
+"""Sweep hardening: failure envelopes, timeouts, resume of failed points,
+worker death.
 
 A crashing point must never take the sweep down with it — it becomes a
 typed :class:`PointFailure` with its traceback, is reported in the
 summary, is stored in the cache for post-mortems, and is re-run (not
-replayed) by a resumed sweep.
+replayed) by a resumed sweep.  A worker process killed mid-point costs
+one re-run of that point and changes no payload.
 """
 
 import json
+import multiprocessing
+import os
+import signal
 import time
 
 import pytest
@@ -58,8 +63,23 @@ def _eval_sleepy(point):
     return {"slept": True}, 1
 
 
+def _eval_killer(point):
+    """Appends one line per execution attempt to ``<log>/<name>.count``
+    (the attempt ledger); a point marked ``kill`` SIGKILLs its own
+    process on its first attempt."""
+    ledger = os.path.join(point.params["log"], f"{point.name}.count")
+    with open(ledger, "a", encoding="utf-8") as handle:
+        handle.write(f"{os.getpid()}\n")
+    with open(ledger, encoding="utf-8") as handle:
+        attempts = len(handle.readlines())
+    if point.params["kill"] and attempts == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return {"point": point.name, "value": point.params["value"]}, 1
+
+
 sweep_module.EVALUATORS.setdefault("test_flaky", _eval_flaky)
 sweep_module.EVALUATORS.setdefault("test_sleepy", _eval_sleepy)
+sweep_module.EVALUATORS.setdefault("test_killer", _eval_killer)
 
 
 class TestFailureEnvelopes:
@@ -179,8 +199,6 @@ class TestTimeouts:
             SweepRunner(timeout_s=0.0)
         with pytest.raises(ValueError):
             SweepRunner(timeout_s=-1.0)
-        with pytest.raises(ValueError):
-            SweepRunner(pool_retries=-1)
 
 
 class TestRunnerBookkeeping:
@@ -203,3 +221,64 @@ class TestRunnerBookkeeping:
         result = SweepRunner(workers=1).run([bad_point()])
         blob = json.dumps(result.outcomes[0].failure.to_dict())
         assert "ValueError" in blob
+
+
+def killer_points(log):
+    """Two quick ledger points around one that kills its worker."""
+    return [SweepPoint(name=name, arch="stub", workload="wl",
+                       evaluator="test_killer",
+                       params={"log": log, "value": float(i),
+                               "kill": name == "killer"})
+            for i, name in enumerate(("k0", "killer", "k2"))]
+
+
+def attempts(log, name):
+    try:
+        with open(os.path.join(log, f"{name}.count"),
+                  encoding="utf-8") as handle:
+            return [int(line) for line in handle]
+    except OSError:
+        return []
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="fork start method unavailable")
+class TestWorkerDeath:
+    """A forked child of a plain parallel sweep dies by SIGKILL mid-point:
+    the sweep finishes, the point is re-run exactly once, and every
+    payload matches the serial run byte for byte."""
+
+    def test_sigkilled_child_rerun_once_payloads_identical(
+            self, tmp_path, monkeypatch):
+        # Two forked children even on a 1-CPU box: a serial run would
+        # execute the killer in the test process itself.
+        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+        log = str(tmp_path / "log")
+        os.makedirs(log)
+        points = [good_point("g0")] + killer_points(log) \
+            + [good_point("g1")]
+        runner = SweepRunner(workers=2)
+        result = runner.run(points)
+        assert result.summary.workers == 2
+
+        assert result.summary.failed == 0
+        assert result.summary.simulated == len(points)
+        tries = attempts(log, "killer")
+        assert len(tries) == 2                   # killed once, re-run once
+        assert tries[0] != os.getpid()           # it died in a child
+        assert len(attempts(log, "k0")) == len(attempts(log, "k2")) == 1
+
+        # Reference: the same points serially, with the killer's ledger
+        # already holding its first attempt so it does not fire in the
+        # test process itself.
+        reference_log = str(tmp_path / "reference")
+        os.makedirs(reference_log)
+        with open(os.path.join(reference_log, "killer.count"), "w",
+                  encoding="utf-8") as handle:
+            handle.write("0\n")
+        reference = SweepRunner(workers=1).run(
+            [good_point("g0")] + killer_points(reference_log)
+            + [good_point("g1")])
+        blob = lambda res: json.dumps(  # noqa: E731
+            [o.payload for o in res.outcomes], sort_keys=True)
+        assert blob(result) == blob(reference)

@@ -1,6 +1,5 @@
 """Regression tests for the stats/kernel correctness fixes and the
-event-kernel hot-path overhaul (same-time batch drain, timeout free list,
-tracing guard).
+event-kernel hot-path overhaul (same-time batch drain, timeout free list).
 
 Each stats/validation test here fails on the pre-fix implementations:
 
@@ -9,19 +8,14 @@ Each stats/validation test here fails on the pre-fix implementations:
 * ``UtilizationTracker.utilization(since=...)`` counted busy time from
   before the window against the window (masked by a ``min(1.0, ...)``
   clamp);
-* ``Histogram`` folded out-of-range samples into the last bin, fabricating
-  the latency CDF tail;
 * ``Simulator.call_at`` leaked ``Timeout``'s raw ``ValueError`` for past
   times, and ``run(until=True)`` silently ran to t=1.
 """
 
-import math
-
 import pytest
 
-from repro.kernel import (SimulationError, Simulator, disable_tracing,
-                          enable_tracing)
-from repro.kernel.stats import Histogram, ThroughputMeter, UtilizationTracker
+from repro.kernel import SimulationError, Simulator
+from repro.kernel.stats import ThroughputMeter, UtilizationTracker
 
 
 @pytest.fixture
@@ -120,31 +114,6 @@ class TestWindowedUtilization:
         assert tracker.busy_time() == 400
         assert tracker.busy_time(since=400) == 200
         assert tracker.utilization(since=400) == pytest.approx(0.5)
-
-
-class TestHistogramOverflow:
-    def test_overflow_does_not_fabricate_tail(self):
-        hist = Histogram(bin_width=1, max_bins=10)
-        for value in range(8):   # 8 in-range samples in bins 0..7
-            hist.add(value)
-        hist.add(1e9)            # far out of range
-        hist.add(2e9)
-        assert hist.count == 10
-        assert hist.overflow == 2
-        # In-range quantiles unchanged by the overflow mass...
-        assert hist.percentile(0.5) == pytest.approx(5)
-        # ...and tail quantiles land in the (unbounded) overflow region
-        # instead of the fabricated `max_bins * bin_width` edge.
-        assert hist.percentile(0.95) == math.inf
-        assert hist.percentile(1.0) == math.inf
-
-    def test_no_overflow_unchanged(self):
-        hist = Histogram(bin_width=10)
-        for value in range(100):
-            hist.add(value)
-        assert hist.percentile(0.5) == pytest.approx(50)
-        assert hist.percentile(1.0) == pytest.approx(100)
-        assert hist.overflow == 0
 
 
 class TestRunArgumentValidation:
@@ -286,61 +255,15 @@ class TestTimeoutFreeList:
         sim.run()  # drain the abandoned timer; must not raise
 
 
-class TestTracingNeutrality:
-    def _run_device_workload(self):
-        from repro.host import sequential_write
-        from repro.nand import NandGeometry
-        from repro.ssd import (CachePolicy, SsdArchitecture, SsdDevice,
-                               run_workload)
-        geo = NandGeometry(planes_per_die=1, blocks_per_plane=32,
-                           pages_per_block=16)
-        arch = SsdArchitecture(n_channels=2, n_ways=1, dies_per_way=1,
-                               n_ddr_buffers=1, geometry=geo,
-                               dram_refresh=False,
-                               cache_policy=CachePolicy.NO_CACHING)
-        sim = Simulator()
-        device = SsdDevice(sim, arch)
-        result = run_workload(sim, device, sequential_write(4096 * 20))
-        return (sim.now, sim.events_processed, result.throughput_mbps,
-                result.commands)
-
-    def test_tracing_on_off_identical_results(self):
-        disable_tracing()
-        try:
-            baseline = self._run_device_workload()
-            enable_tracing(capacity=100_000)
-            traced = self._run_device_workload()
-        finally:
-            disable_tracing()
-        assert traced == baseline
-
-    def test_guarded_sites_still_record_when_enabled(self):
-        try:
-            recorder = enable_tracing(capacity=100_000)
-            self._run_device_workload()
-            assert len(recorder.records(event="program")) > 0
-            assert len(recorder.records(event="complete")) > 0
-        finally:
-            disable_tracing()
-
-    def test_trace_enabled_flag(self):
-        from repro.kernel import trace_enabled
-        assert not trace_enabled()
-        try:
-            enable_tracing()
-            assert trace_enabled()
-        finally:
-            disable_tracing()
-        assert not trace_enabled()
-
-
 class TestTracePlayer:
     def test_play_trace_replays_and_traces_issues(self):
         from repro.host import parse_trace, play_trace
         from repro.nand import NandGeometry
+        from repro.obs import disable_observability, enable_observability
         from repro.ssd import CachePolicy, SsdArchitecture, SsdDevice
         text = "\n".join(f"{t} W {8 * t} 8" for t in range(10))
         commands = parse_trace(text)
+        trace_times = [command.issue_time_ps for command in commands]
         geo = NandGeometry(planes_per_die=1, blocks_per_plane=32,
                            pages_per_block=16)
         arch = SsdArchitecture(n_channels=1, n_ways=1, dies_per_way=1,
@@ -349,12 +272,16 @@ class TestTracePlayer:
                                cache_policy=CachePolicy.NO_CACHING)
         sim = Simulator()
         device = SsdDevice(sim, arch)
+        recorder = enable_observability()
         try:
-            recorder = enable_tracing(capacity=10_000)
             result = play_trace(sim, device, commands)
         finally:
-            disable_tracing()
+            disable_observability()
         assert result.commands == 10
-        issues = recorder.records(event="issue")
-        assert len(issues) == 10
-        assert issues[0].component == "host.trace"
+        # Each replayed command is traced by a command span that starts
+        # no earlier than its trace time (open loop).
+        assert len(recorder.commands) == 10
+        assert all(span.start_ps >= issued for span, issued in
+                   zip(recorder.commands, trace_times))
+        assert all(span.label.startswith("WRITE") for span in
+                   recorder.commands)

@@ -1,15 +1,13 @@
 """Log-binned latency histogram: the tail-percentile regression net.
 
-The satellite contract this file pins: tail percentiles (p99.9, p99.99)
-of a long-tailed latency distribution must come from *log-spaced* bins.
-The linear :class:`Histogram` provably cannot report them — a bin width
-fine enough to resolve the body pushes the tail into the unbounded
-overflow bucket (``percentile`` degrades to ``inf``), and a bin width
-coarse enough to reach the tail collapses the body into one bucket
-(p50 becomes indistinguishable from p99).  ``LatencyHistogram`` keeps a
-constant *relative* resolution instead, so every quantile resolves to
-within ``relative_error`` of the exact order statistic over the whole
-positive float range.
+The contract this file pins: tail percentiles (p99.9, p99.99) of a
+long-tailed latency distribution must come from *log-spaced* bins.
+Linear bins cannot report them — a bin width fine enough to resolve the
+body runs out of range before the tail, and a bin width coarse enough to
+reach the tail collapses the body into one bucket.
+``LatencyHistogram`` keeps a constant *relative* resolution instead, so
+every quantile resolves to within ``relative_error`` of the exact order
+statistic over the whole positive float range.
 """
 
 import math
@@ -17,7 +15,7 @@ import random
 
 import pytest
 
-from repro.kernel.stats import Histogram, LatencyHistogram
+from repro.kernel.stats import LatencyHistogram
 
 
 def long_tailed_samples():
@@ -35,40 +33,14 @@ def long_tailed_samples():
 
 
 def exact_percentile(sorted_samples, fraction):
-    """The order statistic both histogram contracts approximate: the
+    """The order statistic the histogram contract approximates: the
     smallest sample with at least ``fraction * n`` samples at or below."""
     target = fraction * len(sorted_samples)
     return sorted_samples[max(0, math.ceil(target) - 1)]
 
 
 # ----------------------------------------------------------------------
-# The regression: linear binning loses the tail, log binning does not
-
-
-def test_fine_linear_bins_collapse_the_tail_into_overflow():
-    """bin_width=1 resolves the 100 us body but caps at 4096 us — the
-    5 ms and 50 ms tail samples overflow, so p99.9/p99.99 degrade to
-    ``inf``.  This is the failure mode the log-binned histogram fixes."""
-    linear = Histogram(bin_width=1.0)
-    for sample in long_tailed_samples():
-        linear.add(sample)
-    assert linear.overflow == 11
-    assert linear.percentile(0.50) < 160.0          # body still resolves
-    assert linear.percentile(0.999) == math.inf     # tail does not
-    assert linear.percentile(0.9999) == math.inf
-
-
-def test_coarse_linear_bins_flatten_the_body():
-    """Widening the bins to reach the 50 ms straggler puts the whole
-    body in one bucket: the median and p99 become the same number."""
-    coarse = Histogram(bin_width=256.0)
-    for sample in long_tailed_samples():
-        coarse.add(sample)
-    assert coarse.overflow == 0                     # range now suffices
-    assert coarse.percentile(0.50) == coarse.percentile(0.99)
-    samples = sorted(long_tailed_samples())
-    true_p50 = exact_percentile(samples, 0.50)
-    assert coarse.percentile(0.50) > 2.0 * true_p50  # and it overstates
+# The regression: log binning resolves the tail
 
 
 def test_log_bins_resolve_every_percentile_within_relative_error():

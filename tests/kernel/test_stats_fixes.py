@@ -1,64 +1,21 @@
 """Regression tests for the stats/metrics bugfix sweep.
 
-Each class locks one fix: the Histogram lower-edge/overflow-boundary
-quantiles, the UtilizationTracker windowed-busy bisect (checked against
-a brute-force reference), and the ThroughputMeter observed-window
-semantics.
+Each class locks one fix: the UtilizationTracker windowed-busy bisect
+(checked against a brute-force reference) and the ThroughputMeter
+observed-window semantics.
 """
 
-import math
 import random
 
 import pytest
 
 from repro.kernel import Simulator
-from repro.kernel.stats import Histogram, ThroughputMeter, UtilizationTracker
+from repro.kernel.stats import ThroughputMeter, UtilizationTracker
 
 
 @pytest.fixture
 def sim():
     return Simulator()
-
-
-class TestHistogramLowerEdge:
-    def test_percentile_zero_is_lower_edge(self):
-        hist = Histogram(bin_width=10)
-        hist.add(25)  # bin 2: [20, 30)
-        hist.add(47)
-        # The minimum lives in [20, 30); the pre-fix code reported 30.
-        assert hist.percentile(0.0) == 20
-        assert hist.percentile(1.0) == 50
-
-    def test_percentile_zero_first_bin(self):
-        hist = Histogram(bin_width=5)
-        hist.add(3)
-        assert hist.percentile(0.0) == 0
-
-    def test_percentile_zero_all_overflow(self):
-        hist = Histogram(bin_width=1, max_bins=10)
-        hist.add(1e9)
-        # All we know is the minimum is past the binned range.
-        assert hist.percentile(0.0) == 10
-        assert hist.percentile(0.5) == math.inf
-
-    def test_overflow_boundary_quantiles(self):
-        hist = Histogram(bin_width=1, max_bins=10)
-        for value in range(8):   # bins 0..7
-            hist.add(value)
-        hist.add(100)            # overflow
-        hist.add(200)            # overflow
-        # 8 of 10 samples are binned: quantiles up to 0.8 resolve inside
-        # the bins, anything needing the overflow tail is unbounded.
-        assert hist.percentile(0.8) == 8
-        assert hist.percentile(0.81) == math.inf
-        assert hist.percentile(1.0) == math.inf
-        assert hist.percentile(0.0) == 0
-
-    def test_no_overflow_top_quantile_finite(self):
-        hist = Histogram(bin_width=2, max_bins=10)
-        for value in (1, 5, 9):
-            hist.add(value)
-        assert hist.percentile(1.0) == 10  # upper edge of bin 4
 
 
 def brute_force_busy(segments, start, end):

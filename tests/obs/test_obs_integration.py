@@ -8,7 +8,8 @@ a single simulated timestamp.
 
 import pytest
 
-from repro.host import sequential_read, sequential_write
+from repro.faults import FaultConfig
+from repro.host import IoStatus, sequential_read, sequential_write
 from repro.kernel import Simulator
 from repro.nand import NandGeometry
 from repro.obs import (disable_observability, enable_observability,
@@ -99,6 +100,27 @@ class TestRunResultWiring:
         assert set(timelines) == {"chn0.dies", "chn1.dies"}
         for series in timelines.values():
             assert series and all(0.0 <= point <= 1.0 for point in series)
+
+
+class TestFailureStatus:
+    def test_failed_command_span_carries_status(self, recorder):
+        """A command the device fails keeps its error status on its span
+        and in the exported trace; a completed one carries none."""
+        run_point(sequential_write(4096 * 8),
+                  faults=FaultConfig(enabled=True, seed=42,
+                                     program_fail_prob=1.0,
+                                     spare_blocks_per_plane=0))
+        assert len(recorder.commands) == 8
+        assert {span.status for span in recorder.commands} \
+            == {IoStatus.WRITE_FAILED.value}
+        slices = [event for event in to_chrome_trace(recorder)["traceEvents"]
+                  if event.get("cat") == "command"]
+        assert {event["args"]["status"] for event in slices} \
+            == {IoStatus.WRITE_FAILED.value}
+
+    def test_completed_command_span_has_no_status(self, recorder):
+        run_point(sequential_write(4096 * 4))
+        assert [span.status for span in recorder.commands] == [None] * 4
 
 
 class TestZeroCost:
